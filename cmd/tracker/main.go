@@ -15,7 +15,6 @@ import (
 	"os"
 	"time"
 
-	"repro/internal/bench"
 	"repro/internal/core"
 	"repro/internal/gc"
 	"repro/internal/trace"
@@ -34,19 +33,8 @@ func main() {
 		traceOut = flag.String("trace", "", "persist the raw execution trace to this file (analyze with cmd/traceview)")
 		jsonOut  = flag.Bool("json", false, "emit the run summary as JSON instead of text")
 		realtime = flag.Float64("realtime", 0, "run against the wall clock at this speed-up (0 = virtual clock)")
-
-		hotstage  = flag.Bool("hotstage", false, "run the elastic-recovery experiment (balanced vs hot vs hot+elastic) instead of a single run")
-		hotfactor = flag.Float64("hotfactor", 3, "hot-stage multiplier on target-detect-1's compute (with -hotstage)")
-		outPath   = flag.String("out", "", "with -hotstage: write the report JSON to this file (e.g. BENCH_elastic.json)")
-		check     = flag.String("check", "", "with -hotstage: compare against a pinned report and fail on regression")
-		tolerance = flag.Float64("tolerance", 0.30, "allowed fractional fps regression under -check")
 	)
 	flag.Parse()
-
-	if *hotstage {
-		runHotStage(*hosts, (*duration).Seconds(), (*warmup).Seconds(), *seed, *hotfactor, *outPath, *check, *tolerance)
-		return
-	}
 
 	var p core.Policy
 	switch *policy {
@@ -132,7 +120,6 @@ func main() {
 		}
 		fmt.Printf("footprint series written to %s\n", *series)
 	}
-	_ = bench.Policies // keep the harness linked for discoverability
 }
 
 func maxF(a, b float64) float64 {

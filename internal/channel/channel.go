@@ -75,14 +75,21 @@ var caps = buffer.Caps{
 //
 // An item's lifecycle is tracked by the (items, live) pair: a timestamp in
 // items but absent from live is a tombstone — the collector freed it, and
-// Get reports ErrGone rather than "not yet produced".
+// Get reports ErrGone rather than "not yet produced". Every consumer
+// attached when a timestamp at or below floor was freed had passed it,
+// so GetAt answers such a timestamp from the floor alone, an item put
+// there again is dead on arrival, and its tombstone is pruned from
+// items.
 type Channel struct {
 	buffer.Base
 
-	// items and live are guarded by Base.Mu.
+	// items, live, maxPut, floor and prunable are guarded by Base.Mu.
 	items  map[vt.Timestamp]*Item
 	live   *vt.Set
 	maxPut vt.Timestamp
+	floor  vt.Timestamp
+	// prunable lists tombstones at or below the floor still in items.
+	prunable []vt.Timestamp
 
 	// scratchG and scratchDead are per-channel scratch buffers reused by
 	// every collection sweep (guarantee vector and dead-timestamp list),
@@ -98,6 +105,7 @@ func New(cfg Config) *Channel {
 		items:  make(map[vt.Timestamp]*Item),
 		live:   vt.NewSet(),
 		maxPut: vt.None,
+		floor:  vt.None,
 	}
 	c.Base.Init(cfg, c.live.Len)
 	return c
@@ -182,8 +190,22 @@ func (c *Channel) FailConsumer(conn graph.ConnID) {
 
 // Put inserts an item. It blocks while a bounded channel is full and
 // returns ErrClosed/ErrDuplicate on those conditions. The returned
-// duration is the time spent blocked on capacity.
+// duration is the time spent blocked on capacity. An item at or below
+// the floor is dead on arrival.
 func (c *Channel) Put(conn graph.ConnID, it *Item) (time.Duration, error) {
+	return c.put(conn, it, false)
+}
+
+// PutRetry is Put for a request that may already have been applied, such
+// as a put re-sent after its response was lost. A timestamp at or below
+// the floor reports ErrDuplicate instead of arriving dead: its tombstone
+// may be pruned, so an earlier insert cannot be told apart, and taking
+// it again would count the item twice.
+func (c *Channel) PutRetry(conn graph.ConnID, it *Item) (time.Duration, error) {
+	return c.put(conn, it, true)
+}
+
+func (c *Channel) put(conn graph.ConnID, it *Item, retry bool) (time.Duration, error) {
 	c.Mu.Lock()
 	defer c.Mu.Unlock()
 	if err := c.CheckProducerLocked(conn); err != nil {
@@ -196,14 +218,19 @@ func (c *Channel) Put(conn graph.ConnID, it *Item) (time.Duration, error) {
 	if c.ClosedLocked() {
 		return blocked, ErrClosed
 	}
-	if _, dup := c.items[it.TS]; dup {
+	gone := c.goneLocked(it.TS)
+	if _, dup := c.items[it.TS]; dup && !gone || retry && gone {
 		return blocked, fmt.Errorf("%w: %v on %q", ErrDuplicate, it.TS, c.Name())
 	}
-	c.items[it.TS] = it
-	c.live.Add(it.TS)
-	c.AccountPutLocked(it)
-	if it.TS > c.maxPut {
-		c.maxPut = it.TS
+	if gone {
+		c.putDeadLocked(it)
+	} else {
+		c.items[it.TS] = it
+		c.live.Add(it.TS)
+		c.AccountPutLocked(it)
+		if it.TS > c.maxPut {
+			c.maxPut = it.TS
+		}
 	}
 	// A put may itself complete a collection condition (e.g. the global
 	// virtual time advanced elsewhere), so sweep opportunistically; any
@@ -254,9 +281,17 @@ func (c *Channel) PutBatch(conn graph.ConnID, items []*Item) (int, time.Duration
 			err = ErrClosed
 			break
 		}
-		if _, dup := c.items[it.TS]; dup {
+		gone := c.goneLocked(it.TS)
+		if _, dup := c.items[it.TS]; dup && !gone {
 			err = fmt.Errorf("%w: %v on %q", ErrDuplicate, it.TS, c.Name())
 			break
+		}
+		if gone {
+			flush()
+			c.putDeadLocked(it)
+			applied++
+			flushed = applied
+			continue
 		}
 		c.items[it.TS] = it
 		c.live.Add(it.TS)
@@ -463,8 +498,8 @@ func (c *Channel) GetAt(conn graph.ConnID, ts vt.Timestamp) (GetResult, error) {
 			return res, nil
 		}
 		// The item may never have existed but already be unreachable: a
-		// producer has moved past it.
-		if c.maxPut > ts {
+		// producer has moved past it, or it is at or below the floor.
+		if c.maxPut > ts || ts <= c.floor {
 			return GetResult{Blocked: c.Clock().Now() - start}, fmt.Errorf("%w: %v on %q", ErrGone, ts, c.Name())
 		}
 		if c.ClosedLocked() || c.SealedLocked() {
@@ -489,19 +524,25 @@ func (c *Channel) advanceLocked(cs *buffer.Consumer, ts vt.Timestamp) {
 	c.collectLocked()
 }
 
-// collectLocked asks the collector for dead timestamps and frees them.
-// The guarantee vector and the dead list live in per-channel scratch
+// collectLocked asks the collector for dead timestamps and frees them,
+// raising the floor over each one every consumer has passed. The
+// guarantee vector and the dead list live in per-channel scratch
 // buffers, so the sweep is allocation-free in steady state.
 func (c *Channel) collectLocked() {
 	if c.live.Empty() {
 		return
 	}
+	passed := vt.Infinity // the lowest guarantee
 	c.scratchG = c.scratchG[:0]
 	for _, cs := range c.Consumers {
 		c.scratchG = append(c.scratchG, cs.Guarantee)
+		passed = min(passed, cs.Guarantee)
 	}
 	c.scratchDead = c.Coll.Dead(c.Node(), c.live, c.scratchG, c.scratchDead[:0])
 	for _, ts := range c.scratchDead {
+		if ts <= passed {
+			c.floor = max(c.floor, ts)
+		}
 		c.freeLocked(ts)
 	}
 }
@@ -525,6 +566,39 @@ func (c *Channel) freeLocked(ts vt.Timestamp) {
 	// Retain a tombstone so GetAt(ts) can distinguish ErrGone from "not
 	// yet produced"; the freed item itself goes back to the pool.
 	c.items[ts] = tombstone
+	c.RecycleLocked(it)
+	if ts <= c.floor {
+		c.prunable = append(c.prunable, ts)
+		if len(c.prunable) == pruneBatch {
+			for _, p := range c.prunable {
+				delete(c.items, p)
+			}
+			c.prunable = c.prunable[:0]
+		}
+	}
+}
+
+// pruneBatch is how many tombstones at or below the floor accumulate
+// before they are deleted together, bounding items at the live items
+// plus pruneBatch. Deleting each one as it was freed made the seeded
+// scenario matrix (cmd/pin scenarios) miss its byte-exact pin several
+// times more often: its virtual-clock runs race at same-instant wakeups
+// (ROADMAP Open item 1), and those races are sensitive to the channel's
+// timing. In batches the miss rate stayed as it was with no pruning.
+const pruneBatch = 64
+
+// goneLocked reports that ts is at or below the floor and not live: it
+// was freed, or never put before every consumer passed it.
+func (c *Channel) goneLocked(ts vt.Timestamp) bool {
+	return ts <= c.floor && !c.live.Contains(ts)
+}
+
+// putDeadLocked takes an item put at a gone timestamp: every consumer
+// has passed its timestamp, so it is counted as put and freed at once,
+// and never delivered.
+func (c *Channel) putDeadLocked(it *Item) {
+	c.AccountPutLocked(it)
+	c.AccountFreeLocked(it)
 	c.RecycleLocked(it)
 }
 

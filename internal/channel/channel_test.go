@@ -470,3 +470,78 @@ func TestWouldBeDeadNoConsumers(t *testing.T) {
 		t.Error("a channel without consumers must not declare items dead")
 	}
 }
+
+// Tombstones of timestamps every consumer has passed are pruned: over a
+// long put/get-latest run the item map holds the live items plus at most
+// pruneBatch tombstones, not the history.
+func TestTombstonesPrunedBehindGuarantees(t *testing.T) {
+	c := newTestChannel(gc.NewDeadTimestamp())
+	const cycles = 1_000_000
+	for ts := vt.Timestamp(1); ts <= cycles; ts++ {
+		if _, err := c.Put(prodConn, &Item{TS: ts, Size: 1}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.GetLatest(consConn); err != nil {
+			t.Fatal(err)
+		}
+		if ts%100_000 == 0 {
+			live, _ := c.Occupancy()
+			if n := len(c.items); n > live+pruneBatch {
+				t.Fatalf("after %d cycles the item map holds %d entries for %d live items", ts, n, live)
+			}
+		}
+	}
+	// A pruned timestamp put again is dead on arrival, and a consumer
+	// attached after the prune sees every passed timestamp as gone, the
+	// newest included.
+	if _, err := c.Put(prodConn, &Item{TS: 1, Size: 1}); err != nil {
+		t.Fatalf("re-put of a pruned timestamp: %v", err)
+	}
+	if _, ok, _ := c.TryGetLatest(consConn); ok {
+		t.Fatal("a re-put pruned timestamp was delivered")
+	}
+	c.AttachConsumer(consConn2, 1)
+	for _, ts := range []vt.Timestamp{1, cycles / 2, cycles} {
+		if _, err := c.GetAt(consConn2, ts); !errors.Is(err, ErrGone) {
+			t.Fatalf("late GetAt(%v) = %v, want ErrGone", ts, err)
+		}
+	}
+}
+
+// A timestamp put again at or below the floor is dead on arrival: it is
+// counted as put and freed, and no consumer — including one attached
+// later — is ever handed it. A retried put there is a duplicate.
+func TestRePutBelowFloorIsDeadOnArrival(t *testing.T) {
+	c := newTestChannel(gc.NewDeadTimestamp())
+	for ts := vt.Timestamp(1); ts <= 3; ts++ {
+		put(t, c, ts, 10)
+	}
+	if res, err := c.GetLatest(consConn); err != nil || res.Item.TS != 3 {
+		t.Fatalf("GetLatest = %v, %v", res.Item, err)
+	}
+	if _, err := c.Put(prodConn, &Item{TS: 2, Size: 10}); err != nil {
+		t.Fatalf("re-put below the floor: %v", err)
+	}
+	if n, _, err := c.PutBatch(prodConn, []*Item{{TS: 4, Size: 10}, {TS: 1, Size: 10}, {TS: 5, Size: 10}}); n != 3 || err != nil {
+		t.Fatalf("PutBatch applied %d, %v", n, err)
+	}
+	res, ok, err := c.TryGetLatest(consConn)
+	if err != nil || !ok || res.Item.TS != 5 || len(res.Skipped) != 1 || res.Skipped[0].TS != 4 {
+		t.Fatalf("TryGetLatest = %v skipped %v ok=%v err=%v; want 5 skipping only 4", res.Item, res.Skipped, ok, err)
+	}
+	c.AttachConsumer(consConn2, 1)
+	for _, ts := range []vt.Timestamp{1, 2, 3} {
+		if _, err := c.GetAt(consConn2, ts); !errors.Is(err, ErrGone) {
+			t.Fatalf("late GetAt(%v) = %v, want ErrGone", ts, err)
+		}
+	}
+	if _, ok, _ := c.TryGetLatest(consConn2); ok {
+		t.Fatal("a late consumer was handed an item")
+	}
+	if _, err := c.PutRetry(prodConn, &Item{TS: 2, Size: 10}); !errors.Is(err, ErrDuplicate) {
+		t.Fatalf("retried put below the floor = %v, want ErrDuplicate", err)
+	}
+	if puts, frees := c.Stats(); puts != 7 || frees != 7 {
+		t.Fatalf("stats puts=%d frees=%d, want 7/7", puts, frees)
+	}
+}

@@ -3,14 +3,15 @@
 // convention shared by every chaos and scenario harness.
 //
 // Two callers grew their own copies before this package existed — the
-// cmd/aru jitter source and internal/faultnet's delay jitter — and the
-// scenario factory would have been a third. Centralizing matters
-// beyond deduplication: pinned benchmark files (BENCH_aru.json,
-// BENCH_scenarios.json) are regenerated from seeds, so the generator
-// algorithm is part of the repository's persisted state. Rand
-// reproduces cmd/aru's original xorshift64 stream bit for bit: New(s)
-// followed by Uint64 calls yields exactly the sequence the pinned
-// cells were measured under.
+// estimator benchmark's jitter source (the aru suite of cmd/pin) and
+// internal/faultnet's delay jitter — and the scenario factory would
+// have been a third. Centralizing matters beyond deduplication: pinned
+// benchmark files (BENCH_aru.json, BENCH_scenarios.json) are
+// regenerated from seeds, so the generator algorithm is part of the
+// repository's persisted state. Rand reproduces the estimator
+// benchmark's original xorshift64 stream bit for bit: New(s) followed by
+// Uint64 calls yields exactly the sequence the pinned cells were
+// measured under.
 package rand
 
 import (
@@ -106,7 +107,7 @@ func Split(seed uint64, k uint64) uint64 {
 }
 
 // EnvSeed returns the seed pinned in the named environment variable
-// when it parses as an int64 (CI pins FAULTNET_SEED / SCENARIO_SEED
+// when it parses as an int64 (CI pins FAULTNET_SEED / SOAK_SEED
 // for reproducible runs), def otherwise. Junk values fall back to def,
 // matching the historical faultnet.Seed contract.
 func EnvSeed(name string, def int64) int64 {

@@ -6,9 +6,9 @@ import (
 	"time"
 )
 
-// legacyXorshift is the original cmd/aru implementation, kept here as
-// the compatibility oracle: BENCH_aru.json was measured under this
-// exact stream, so Rand must reproduce it bit for bit.
+// legacyXorshift is the estimator benchmark's original implementation,
+// kept here as the compatibility oracle: BENCH_aru.json was measured
+// under this exact stream, so Rand must reproduce it bit for bit.
 func legacyXorshift(s *uint64) uint64 {
 	x := *s
 	x ^= x << 13

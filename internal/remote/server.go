@@ -370,7 +370,11 @@ func (s *Server) handle(sess *session, req *Request) Response {
 		if size == 0 {
 			size = int64(len(req.Payload))
 		}
-		_, err := sess.hosted.ch.Put(sess.connID, &channel.Item{
+		put := sess.hosted.ch.Put
+		if req.Retry {
+			put = sess.hosted.ch.PutRetry
+		}
+		_, err := put(sess.connID, &channel.Item{
 			TS: req.TS, Payload: req.Payload, Size: size,
 		})
 		if err != nil {

@@ -109,7 +109,7 @@ func TestRunMetricsNeutral(t *testing.T) {
 }
 
 // TestRunAIMDNoWorseDropsSpotCheck is the in-package version of the
-// matrix-wide differential cmd/scenarios enforces: under the bursty
+// matrix-wide differential cmd/pin scenarios enforces: under the bursty
 // shape, the AIMD estimator must not drop more than raw propagation.
 func TestRunAIMDNoWorseDropsSpotCheck(t *testing.T) {
 	p := DefaultParams(1719, "chain", "onoff")

@@ -7,8 +7,8 @@
 // bit-reproducible. The runner (runner.go) wires a generated Spec into
 // the real Runtime and emits the paper's MU/IGC metrics plus drop
 // rate, blocked-put p99, and metrics-subsystem neutrality per cell;
-// cmd/scenarios pins the resulting matrix as the regression net every
-// later PR is judged against (ROADMAP item 5).
+// `cmd/pin scenarios` pins the resulting matrix as the regression net
+// every later change is judged against (ROADMAP item 5).
 package scenario
 
 import (

@@ -142,7 +142,7 @@ type Config struct {
 	EliminateDeadComputations bool
 	// HotFactor, when > 1, multiplies DetectCost1 — an induced hot stage
 	// (a color model whose compute blew up on the deployed content) used
-	// by the elastic-recovery experiment (cmd/tracker -hotstage).
+	// by the elastic-recovery experiment (cmd/pin elastic).
 	HotFactor float64
 	// Elastic, when non-nil, installs the elastic scheduler
 	// (internal/sched) as a runtime control loop: the bottleneck stage
